@@ -211,7 +211,7 @@ class Link:
 
     def carry(self, packet: Packet, sender: Interface) -> None:
         """Deliver ``packet`` to the far end after the propagation delay."""
-        receiver = self.peer_of(sender)
+        receiver = self.b if sender is self.a else self.peer_of(sender)
         packet.hops += 1
         self.sim.call_later(self.delay, self._deliver, receiver, packet)
 

@@ -23,7 +23,7 @@ class Tos(IntEnum):
     SCAVENGER = 2   # latency-insensitive bulk traffic
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One network packet.
 
@@ -44,7 +44,7 @@ class Packet:
     payload: object = None
     created_at: float = 0.0
     enqueued_at: float = 0.0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
     hops: int = 0
     ecn: bool = False
 

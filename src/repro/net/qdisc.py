@@ -116,10 +116,8 @@ class Qdisc:
     def _record_dequeue(self, packet: Packet, now: float | None = None) -> None:
         self.stats.dequeued += 1
         self.stats.bytes_sent += packet.size
-        if now is not None:
-            enqueued = getattr(packet, "enqueued_at", None)
-            if enqueued is not None and now > enqueued:
-                self.stats.queue_wait_seconds += now - enqueued
+        if now is not None and now > packet.enqueued_at:
+            self.stats.queue_wait_seconds += now - packet.enqueued_at
 
 
 class FifoQdisc(Qdisc):
@@ -297,29 +295,29 @@ class WeightedPrioQdisc(Qdisc):
         return accepted
 
     def dequeue(self, now: float) -> Optional[Packet]:
-        high_pending = len(self._high) > 0
-        low_pending = len(self._low) > 0
-        if not high_pending and not low_pending:
-            return None
+        high_queue = self._high._queue
+        low_queue = self._low._queue
         # Work conservation: only one band backlogged -> serve it fully.
-        if high_pending and not low_pending:
+        if not low_queue:
+            if not high_queue:
+                return None
             packet = self._high.dequeue(now)
             self._record_dequeue(packet, now)
             return packet
-        if low_pending and not high_pending:
+        if not high_queue:
             packet = self._low.dequeue(now)
             self._record_dequeue(packet, now)
             return packet
         # Both backlogged: deficit round robin with priority to the high
         # band whenever it has allowance.
         while True:
-            head_high = self._high._queue[0]
+            head_high = high_queue[0]
             if self._high_deficit >= head_high.size:
                 self._high_deficit -= head_high.size
                 packet = self._high.dequeue(now)
                 self._record_dequeue(packet, now)
                 return packet
-            head_low = self._low._queue[0]
+            head_low = low_queue[0]
             if self._low_deficit >= head_low.size:
                 self._low_deficit -= head_low.size
                 packet = self._low.dequeue(now)
@@ -330,7 +328,7 @@ class WeightedPrioQdisc(Qdisc):
             self._low_deficit += self._low_quantum
 
     def next_ready_time(self, now: float) -> float:
-        return now if len(self) else float("inf")
+        return now if self._high._queue or self._low._queue else float("inf")
 
     def __len__(self) -> int:
         return len(self._high) + len(self._low)

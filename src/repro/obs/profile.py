@@ -233,11 +233,9 @@ class SimProfiler:
         return cell
 
     def _section_of(self, owner) -> str:
+        # ``owner`` is a timer's callback or an event's first callback.
         if owner is None:
             return "dispatch"
-        fn = getattr(owner, "fn", None)  # Simulator.call_later wrapper
-        if fn is not None:
-            owner = fn
         obj = getattr(owner, "__self__", None)
         if obj is None:
             # Plain function or staticmethod callback (e.g. the link's

@@ -1,10 +1,13 @@
 """The discrete-event simulator kernel.
 
-The kernel maintains a time-ordered heap of triggered events and processes
-them one at a time, advancing the simulated clock to each event's due time.
-Time is a float in seconds. Determinism is guaranteed by a monotonically
-increasing tie-break sequence number: events scheduled for the same instant
-are processed in scheduling order.
+One time-ordered heap of flat ``(when, seq, fn, args)`` entries,
+dispatched one at a time; time is a float in seconds. A timer
+(:meth:`Simulator.call_later`) pushes its callback and argument tuple
+and runs as ``fn(*args)``; a triggered event pushes itself with
+``args=None`` and runs as ``event._process()``. The unique tie-break
+``seq`` dispatches equal-time entries in scheduling order. Timers cannot
+be cancelled: an owner that supersedes its timers passes a token in
+``args`` and the stale timer returns on a mismatch.
 """
 
 from __future__ import annotations
@@ -19,37 +22,19 @@ from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process
 
 
-class _ScheduledCall:
-    """A ``call_later`` callback as an inspectable object.
-
-    A plain lambda would work, but the self-profiler needs to see the
-    *original* bound callback to attribute the dispatch to its owner's
-    subsystem, so the wrapper keeps it in a slot.
-    """
-
-    __slots__ = ("fn", "args", "cancelled")
-
-    def __init__(self, fn: Callable, args: tuple):
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-
-    def __call__(self, _event) -> None:
-        if not self.cancelled:
-            self.fn(*self.args)
-
-
 def _make_profiled_hooks(sim: "Simulator", profiler):
     """Build the self-profiling dispatch hooks (``step``, ``_advance``).
 
     Closures rather than methods so every hot name — the heap, the
     profiler's count/second tables, the key cache — is a local.  Per
-    event the loop reduces the first callback to a hashable key with
-    plain type checks (``getattr`` with a missed attribute costs ~10x a
-    hit, so no speculative lookups), resolves the section through the
-    key cache, and bumps its count.  Only every ``timing_stride``-th
-    event pays the ``perf_counter`` pair; explicit sections observe the
-    ``_timing`` flag and skip their own timing on unsampled dispatches.
+    entry the loop reduces the callee to a hashable key with plain type
+    checks (``getattr`` with a missed attribute costs ~10x a hit, so no
+    speculative lookups), resolves the section through the key cache,
+    and bumps its count.  A call entry is keyed by its ``fn``; an event
+    entry by ``event.callbacks[0]``.  Only every ``timing_stride``-th
+    entry pays the ``perf_counter`` pair (in ``timed``); explicit
+    sections observe the ``_timing`` flag and skip their own timing on
+    unsampled dispatches.
 
     ``_advance`` fuses the dispatch body straight into the run loop —
     no per-event ``step()`` frame — which pays back a large share of
@@ -67,28 +52,39 @@ def _make_profiled_hooks(sim: "Simulator", profiler):
     tick = 0
     profiler._timing = False
 
+    def timed(fn, args) -> float:
+        """Dispatch one sampled entry; return its exclusive seconds."""
+        profiler._timing = True
+        profiler._child = 0.0
+        start = perf_counter()
+        if args is None:
+            fn._process()
+        else:
+            fn(*args)
+        elapsed = perf_counter() - start
+        profiler._timing = False
+        return elapsed - profiler._child
+
     def advance(deadline: float) -> None:
         nonlocal tick
         while queue and queue[0][0] < deadline:
-            when, _seq, event = heappop(queue)
+            when, _seq, fn, args = heappop(queue)
             sim._now = when
             sim._event_count += 1
-            callbacks = event.callbacks
             # Branches ordered by observed frequency: scheduled calls
             # dominate (packet timers), then process resumes.
-            if callbacks:
-                owner = callbacks[0]
+            if args is not None:
+                cls = fn.__class__
+                if cls is MethodType:
+                    key = fn.__self__.__class__
+                elif cls is FunctionType:
+                    key = fn.__code__
+                else:
+                    key = cls
+            elif fn.callbacks:
+                owner = fn.callbacks[0]
                 cls = owner.__class__
-                if cls is _ScheduledCall:
-                    fn = owner.fn
-                    fn_cls = fn.__class__
-                    if fn_cls is MethodType:
-                        key = fn.__self__.__class__
-                    elif fn_cls is FunctionType:
-                        key = fn.__code__
-                    else:
-                        key = fn_cls
-                elif cls is MethodType:
+                if cls is MethodType:
                     obj = owner.__self__
                     # Process resume: attribute to the generator's code.
                     key = (
@@ -112,43 +108,32 @@ def _make_profiled_hooks(sim: "Simulator", profiler):
             tick += 1
             if tick >= stride:
                 tick = 0
-                profiler._timing = True
-                profiler._child = 0.0
-                start = perf_counter()
-                event._process()
-                elapsed = perf_counter() - start
-                profiler._timing = False
-                cell[1] += elapsed - profiler._child
+                cell[1] += timed(fn, args)
+            elif args is None:
+                fn._process()
             else:
-                event._process()
+                fn(*args)
 
     def step() -> None:
-        # Single-event mirror of the fused loop for direct callers
+        # Single-entry mirror of the fused loop for direct callers
         # (``run(until=<Event>)``, tests).  Off the hot path, so it
         # classifies through the uncached slow path and accumulates
         # into the section-keyed extras.
         nonlocal tick
-        when, _seq, event = heappop(queue)
+        when, _seq, fn, args = heappop(queue)
         sim._now = when
         sim._event_count += 1
-        callbacks = event.callbacks
-        owner = callbacks[0] if callbacks else None
+        owner = fn if args is not None else (fn.callbacks or [None])[0]
         section = profiler._section_of(owner)
         extra_counts[section] = extra_counts.get(section, 0) + 1
         tick += 1
         if tick >= stride:
             tick = 0
-            profiler._timing = True
-            profiler._child = 0.0
-            start = perf_counter()
-            event._process()
-            elapsed = perf_counter() - start
-            profiler._timing = False
-            extra_seconds[section] = (
-                extra_seconds.get(section, 0.0) + elapsed - profiler._child
-            )
+            extra_seconds[section] = extra_seconds.get(section, 0.0) + timed(fn, args)
+        elif args is None:
+            fn._process()
         else:
-            event._process()
+            fn(*args)
 
     return step, advance
 
@@ -193,7 +178,8 @@ class Simulator:
 
     @property
     def processed_events(self) -> int:
-        """Total number of events processed so far (diagnostics)."""
+        """Heap entries dispatched so far, timers and events alike
+        (stale timers included; diagnostics)."""
         return self._event_count
 
     # -- event factories -------------------------------------------------
@@ -215,32 +201,19 @@ class Simulator:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, list(events))
 
-    def call_at(self, when: float, callback: Callable, *args) -> Event:
+    def call_at(self, when: float, callback: Callable, *args) -> None:
         """Run ``callback(*args)`` at absolute simulated time ``when``."""
         if when < self._now:
             raise ValueError(f"cannot schedule in the past ({when} < {self._now})")
-        return self.call_later(when - self._now, callback, *args)
+        self.call_later(when - self._now, callback, *args)
 
-    def call_later(self, delay: float, callback: Callable, *args) -> Event:
-        """Run ``callback(*args)`` after ``delay`` simulated seconds."""
-        event = Timeout(self, delay)
-        event.callbacks.append(_ScheduledCall(callback, args))
-        return event
-
-    def cancel_call(self, event: Event) -> bool:
-        """Cancel a pending :meth:`call_later`/:meth:`call_at` callback.
-
-        The heap entry stays (removing mid-heap would be O(n)); dispatch
-        becomes a no-op. Cancelling an already-processed call returns
-        False. The fluid transport cancels completion events this way
-        when a connection closes with transfers in flight.
-        """
-        cancelled = False
-        for callback in event.callbacks or ():
-            if isinstance(callback, _ScheduledCall) and not callback.cancelled:
-                callback.cancelled = True
-                cancelled = True
-        return cancelled
+    def call_later(self, delay: float, callback: Callable, *args) -> None:
+        """Run ``callback(*args)`` after ``delay`` simulated seconds
+        (no handle, no cancel: see the module docstring)."""
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
+        self._sequence += 1
+        heapq.heappush(self._queue, (self._now + delay, self._sequence, callback, args))
 
     # -- profiling ---------------------------------------------------------
     def attach_profiler(self, profiler) -> None:
@@ -268,28 +241,35 @@ class Simulator:
     def _enqueue_event(self, event: Event, delay: float = 0.0) -> None:
         """Put a triggered event on the processing queue (kernel use)."""
         self._sequence += 1
-        heapq.heappush(self._queue, (self._now + delay, self._sequence, event))
+        heapq.heappush(self._queue, (self._now + delay, self._sequence, event, None))
 
     def peek(self) -> float:
         """Due time of the next event, or ``inf`` if the queue is empty."""
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event, advancing the clock to its due time."""
-        when, _seq, event = heapq.heappop(self._queue)
+        """Process exactly one heap entry, advancing the clock to its due time."""
+        when, _seq, fn, args = heapq.heappop(self._queue)
         self._now = when
         self._event_count += 1
-        event._process()
+        if args is None:
+            fn._process()
+        else:
+            fn(*args)
 
     def _advance(self, deadline: float) -> None:
-        """Dispatch every event due strictly before ``deadline``.
-
-        The inner loop of :meth:`run`; the profiler installs a fused
-        instance override so instrumentation amortizes the loop's
-        per-event call overhead.
-        """
-        while self._queue and self._queue[0][0] < deadline:
-            self.step()
+        """Dispatch every entry due strictly before ``deadline``: the
+        inner loop of :meth:`run`, with :meth:`step` fused in."""
+        queue = self._queue
+        heappop = heapq.heappop
+        while queue and queue[0][0] < deadline:
+            when, _seq, fn, args = heappop(queue)
+            self._now = when
+            self._event_count += 1
+            if args is None:
+                fn._process()
+            else:
+                fn(*args)
 
     def run(self, until: float | Event | None = None):
         """Run the simulation.

@@ -158,6 +158,7 @@ class ConnectionEnd:
         self._rttvar = 0.0
         self._rto = self.config.min_rto * 4
         self._rto_deadline = float("inf")
+        self._rto_timer_at = float("inf")   # due time of the live RTO timer
         self._rto_backoff = 1.0
 
         # -- receiver state --
@@ -288,17 +289,29 @@ class ConnectionEnd:
             self.on_writable()
 
     # -- RTO timer --------------------------------------------------------
+    # One live timer, due at ``_rto_timer_at`` <= ``_rto_deadline``: a new
+    # one is pushed only when the deadline moves earlier, and a timer
+    # firing before a deadline that moved later re-arms itself at it.
     def _arm_rto(self) -> None:
         if self._snd_una >= self._snd_nxt:
             self._rto_deadline = float("inf")
             return
-        deadline = self.sim.now + self._rto * self._rto_backoff
-        self._rto_deadline = deadline
+        self._rto_deadline = self.sim.now + self._rto * self._rto_backoff
+        if self._rto_deadline < self._rto_timer_at:
+            self._start_rto_timer()
+
+    def _start_rto_timer(self) -> None:
+        self._rto_timer_at = deadline = self._rto_deadline
         self.sim.call_at(deadline, self._rto_fire, deadline)
 
-    def _rto_fire(self, deadline: float) -> None:
-        if self.closed or deadline != self._rto_deadline:
+    def _rto_fire(self, at: float) -> None:
+        if self.closed or at != self._rto_timer_at:
             return  # stale timer
+        self._rto_timer_at = float("inf")
+        if self._rto_deadline != at:
+            if self._rto_deadline != float("inf"):
+                self._start_rto_timer()
+            return
         if self._snd_una >= self._snd_nxt:
             return
         # Retransmission timeout: collapse and go back to snd_una.
@@ -359,8 +372,7 @@ class ConnectionEnd:
                 self._in_recovery = False
             self.cc.on_ack(bytes_acked, sample)
             self._prune_boundaries(ack)
-            self._pump()
-            self._arm_rto()
+            self._pump()  # re-arms the RTO
         elif ack == self._snd_una and self.bytes_in_flight > 0:
             self._dup_acks += 1
             if (

@@ -196,6 +196,8 @@ class _FluidTransfer:
         self.message = message
         self.size = size
         self.hops = hops
+        #: Generation of the live completion timer; ``None`` until one is
+        #: scheduled and again once ``close()`` releases the transfer.
         self.event = None
         self.complete_at = 0.0
         self.fixed_end = 0.0        # when the ramp/tail phase ends
@@ -311,10 +313,11 @@ class FluidModel(TransportModel):
             if complete != transfer.complete_at:
                 transfer.complete_at = complete
                 if transfer.event is not None:
-                    sim = transfer.conn.sim
-                    sim.cancel_call(transfer.event)
-                    transfer.event = sim.call_at(
-                        complete, transfer.conn._complete_fluid, transfer
+                    # A new generation makes the pending completion stale.
+                    transfer.event += 1
+                    transfer.conn.sim.call_at(
+                        complete, transfer.conn._complete_fluid,
+                        transfer, transfer.event,
                     )
         for conn, tail in chain.items():
             conn._fluid_tail = max(conn._fluid_tail, tail)
@@ -384,8 +387,7 @@ class FluidConnectionEnd(ConnectionEnd):
     def close(self) -> None:
         super().close()
         for transfer in self._fluid_in_flight:
-            if transfer.event is not None:
-                self.sim.cancel_call(transfer.event)
+            transfer.event = None  # every pending completion goes stale
             self.model.finish_transfer(transfer)
         self._fluid_in_flight.clear()
         self._fluid_buffer.clear()
@@ -403,15 +405,15 @@ class FluidConnectionEnd(ConnectionEnd):
         self.fluid_messages += 1
         transfer = self.model.start_transfer(self, message, size)
         self._fluid_tail = transfer.complete_at
-        transfer.event = self.sim.call_at(
-            transfer.complete_at, self._complete_fluid, transfer
-        )
+        transfer.event = 0
+        self.sim.call_at(transfer.complete_at, self._complete_fluid, transfer, 0)
         self._fluid_in_flight.append(transfer)
         if self.config.metrics is not None:
             self.config.metrics.counter("transport_fluid_transfers_total").inc()
 
-    def _complete_fluid(self, transfer: _FluidTransfer) -> None:
-        # close() cancels and releases; reaching here means we own both.
+    def _complete_fluid(self, transfer: _FluidTransfer, generation: int) -> None:
+        if generation != transfer.event:
+            return  # rescheduled since, or released by close()
         self._fluid_in_flight.remove(transfer)
         self.model.finish_transfer(transfer)
         if self.closed:

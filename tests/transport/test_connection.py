@@ -1,18 +1,25 @@
 """End-to-end transport tests over a simulated two-host network."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
-from repro.net import FifoQdisc, Network, Tos
+from repro.net import FifoQdisc, LossyQdisc, Network, Tos
 from repro.sim import Simulator
-from repro.transport import TransportConfig, TransportStack
+from repro.transport import ConnectionEnd, TransportConfig, TransportStack
 
 
-def build_net(sim, rate_bps=8_000_000, delay=0.001, qdisc_a=None, config=None):
+def build_net(
+    sim, rate_bps=8_000_000, delay=0.001, qdisc_a=None, config=None, qdisc_b=None
+):
     """Two hosts, one link; returns (net, stack_a, stack_b)."""
     net = Network(sim)
     net.add_host("a")
     net.add_host("b")
-    net.connect("a", "b", rate_bps=rate_bps, delay=delay, qdisc_a=qdisc_a)
+    net.connect(
+        "a", "b", rate_bps=rate_bps, delay=delay, qdisc_a=qdisc_a, qdisc_b=qdisc_b
+    )
     config = config or TransportConfig()
     stack_a = TransportStack(sim, net, "a", "10.1.0.1", config=config)
     stack_b = TransportStack(sim, net, "b", "10.1.0.2", config=config)
@@ -274,6 +281,100 @@ class TestLossRecovery:
         assert conn.srtt is not None
         assert conn.srtt >= 0.020  # at least the two-way propagation delay
         assert conn.srtt < 0.080
+
+
+#: The pinned lossy transfer: 20 messages at 10% loss per direction.
+LOSS = 0.1
+MESSAGES = 20
+PINNED = (
+    "4c3f0df85d4131d6d1df99cfd0e4e55a23ada9e915e071000d537ed6a5675a6f", 84, 51,
+)
+
+
+class _BlackHole:
+    """A network that swallows every packet, so nothing is ever ACKed."""
+
+    def send(self, packet):
+        pass
+
+
+def stalled_connection():
+    """A connection with unACKed data in flight since t=0: initial RTO
+    0.04 s (4 x ``min_rto``), so the RTO is due at t=0.04."""
+    sim = Simulator()
+    conn = ConnectionEnd(
+        sim, _BlackHole(), "10.0.0.1", "10.0.0.2",
+        config=TransportConfig(min_rto=0.010),
+    )
+    conn._on_established()
+    conn.send("m", 10_000)
+    sim.run(until=0.001)
+    assert conn.bytes_in_flight > 0 and conn.timeouts == 0
+    return sim, conn
+
+
+def pending_rto_timers(sim, conn):
+    return sum(1 for entry in sim._queue if entry[2] == conn._rto_fire)
+
+
+class TestRtoTimer:
+    def test_extended_deadline_fires_at_the_extension(self):
+        sim, conn = stalled_connection()
+        sim.run(until=0.02)
+        conn._arm_rto()  # deadline moves from 0.04 to 0.06
+        sim.run(until=0.059)
+        assert conn.timeouts == 0
+        sim.run(until=0.061)
+        assert conn.timeouts == 1
+
+    def test_earlier_deadline_fires_at_the_earlier_time(self):
+        sim, conn = stalled_connection()
+        sim.run(until=0.02)
+        conn._rto = 0.005
+        conn._arm_rto()  # deadline moves from 0.04 to 0.025
+        sim.run(until=0.024)
+        assert conn.timeouts == 0
+        sim.run(until=0.026)
+        assert conn.timeouts == 1
+        # Backed off to 0.01: next RTO at 0.035, then 0.055.  The timer
+        # left at 0.04 is stale and must not fire a third one.
+        sim.run(until=0.036)
+        assert conn.timeouts == 2
+        sim.run(until=0.054)
+        assert conn.timeouts == 2
+
+    def test_rearming_keeps_one_pending_timer(self):
+        sim, conn = stalled_connection()
+        for step in range(1, 10):
+            sim.run(until=0.001 + step * 0.003)
+            conn._arm_rto()
+        assert pending_rto_timers(sim, conn) == 1
+        assert conn.timeouts == 0
+
+    def test_lossy_transfer_is_pinned(self):
+        """Random loss on both directions plus a tail-drop buffer: fast
+        retransmits and a long run of backed-off RTOs.  The delivery-time
+        digest and counters were computed at commit 9422733, the kernel
+        that allocated an event per timer and pushed one RTO timer per
+        arm; the one-timer RTO must reproduce them exactly."""
+        sim = Simulator()
+        rng = np.random.default_rng(7)
+        lossy_a = LossyQdisc(FifoQdisc(limit_bytes=30_000), 0.0, rng)
+        lossy_b = LossyQdisc(FifoQdisc(), 0.0, rng)
+        _, stack_a, stack_b = build_net(
+            sim, delay=0.002, qdisc_a=lossy_a, qdisc_b=lossy_b
+        )
+        received = []
+        start_sink_server(sim, stack_b, received)
+        conn = stack_a.connect("10.1.0.2", 80)
+        sim.run(until=conn.established)
+        lossy_a.loss = lossy_b.loss = LOSS
+        for index in range(MESSAGES):
+            conn.send(index, 20_000 + 7_000 * index)
+        sim.run(until=30.0)
+        assert [m for _, m, _ in received] == list(range(MESSAGES))
+        digest = hashlib.sha256(repr(received).encode()).hexdigest()
+        assert (digest, conn.retransmits, conn.timeouts) == PINNED
 
 
 class TestFairnessAndScavenging:

@@ -130,6 +130,59 @@ class TestFluidDelivery:
             assert iface.fluid_bytes_transmitted > 500_000  # payload + headers
 
 
+class TestStaleCompletions:
+    """Rescheduled or released transfers leave stale completion timers
+    behind; a per-transfer generation number makes them no-ops."""
+
+    def test_rescheduled_back_to_first_time_completes_once(self):
+        sim, net, src, dst = build()
+        received = []
+        serve(sim, dst, received)
+        conn_a = src.connect("10.1.0.2", 80)
+        conn_b = src.connect("10.1.0.2", 80)
+        sim.run(until=conn_a.established)
+        sim.run(until=conn_b.established)
+        fired = []
+        complete = conn_a._complete_fluid
+
+        def spy(transfer, generation):
+            fired.append((sim.now, generation))
+            complete(transfer, generation)
+
+        conn_a._complete_fluid = spy
+        start = sim.now
+        size = 2_000_000
+        conn_a.send("a", size)  # completion A
+        conn_b.send("b", size)  # shares the link: A -> B, later
+        conn_b.close()          # leaves at once: B -> A again
+        sim.run(until=30.0)
+        assert received == [("a", fired[0][0])]
+        forward = net.forwarding_path("10.1.0.1", "10.1.0.2")
+        reverse = net.forwarding_path("10.1.0.2", "10.1.0.1")
+        solo = fluid_transfer_time(size, forward, reverse, conn_a.config)
+        assert received[0][1] == pytest.approx(start + solo, rel=1e-9)
+        # Generation 0 and 2 both fire at A (0 is stale), 1 fires at B.
+        first, _, later = sorted(fired)
+        assert [g for _, g in fired] == [0, 2, 1]
+        assert first[0] == fired[1][0] < later[0]
+        assert conn_a.fluid_bytes == size
+        assert conn_a.model.transfers_completed == 2
+
+    def test_close_with_transfers_in_flight_never_completes_them(self):
+        sim, net, src, dst = build()
+        received = []
+        serve(sim, dst, received)
+        conn = src.connect("10.1.0.2", 80)
+        sim.run(until=conn.established)
+        for index in range(3):
+            conn.send(index, 1_000_000)
+        conn.close()
+        sim.run(until=30.0)
+        assert received == []
+        assert conn.fluid_bytes == 0 and conn.bytes_sent == 0
+        assert conn.model.transfers_completed == 3  # released by close()
+
+
 class TestHybridDowngrade:
     def test_contended_path_downgrades_sticky(self):
         sim, net, src, dst = build(fidelity="hybrid")
