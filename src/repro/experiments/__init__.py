@@ -117,6 +117,7 @@ from .runner import (
     Runner,
     RunnerStats,
     ScenarioMeasurement,
+    cache_key,
     config_digest,
     measure_scenario,
     wall_timer,
@@ -190,6 +191,7 @@ __all__ = [
     "ablation_policies",
     "bench_scenarios",
     "build_scenario",
+    "cache_key",
     "chain_specs",
     "compare_with_replication",
     "config_digest",

@@ -14,10 +14,12 @@ pieces the harnesses share:
   wall-clock/cost accounting).
 * :class:`Runner` — fans point functions out across worker processes
   (``workers=N``; ``1`` runs inline) and caches finished measurements
-  on disk keyed by a stable content hash of ``(function, config)``, so
-  re-running a sweep with one changed point only simulates the changed
-  point.  Progress (points done/total, per-point wall-clock, ETA and a
-  cache-hit counter) is reported on ``stderr`` when enabled.
+  on disk keyed by a stable content hash of ``(function, config)`` and
+  of the ``repro`` sources, so re-running a sweep with one changed
+  point only simulates the changed point, and an edit to the simulator
+  never serves a result the old code produced.  Progress (points
+  done/total, per-point wall-clock, ETA and a cache-hit counter) is
+  reported on ``stderr`` when enabled.
 * :class:`Experiment` — the declarative base the harnesses subclass:
   a parameter grid (:meth:`Experiment.points`) plus a collection step
   (:meth:`Experiment.collect`) that folds the measurements back into
@@ -30,6 +32,7 @@ the same grid produce identical results, byte for byte.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -140,6 +143,28 @@ def config_digest(fn: Callable, config: Any) -> str:
         "config": canonical(config),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@functools.lru_cache(maxsize=1)
+def code_digest() -> str:
+    """sha256 over every ``repro`` source file (relative path + bytes),
+    read once per process."""
+    package = Path(__file__).resolve().parent.parent
+    sha = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        sha.update(path.relative_to(package).as_posix().encode("utf-8"))
+        sha.update(b"\0")
+        sha.update(path.read_bytes())
+        sha.update(b"\0")
+    return sha.hexdigest()
+
+
+def cache_key(fn: Callable, config: Any) -> str:
+    """The result-cache key: :func:`config_digest` folded with
+    :func:`code_digest`, so a source edit misses the cache.  (Reports
+    keep the code-free config digest, comparable across commits.)"""
+    blob = f"{code_digest()}:{config_digest(fn, config)}"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -425,7 +450,7 @@ class Runner:
         """
         if label is None:
             label = getattr(fn, "__name__", "point")
-        key = config_digest(fn, config)
+        key = cache_key(fn, config)
         self.stats.submitted += 1
         if self._progress:
             if self._preexpected > 0:

@@ -37,12 +37,17 @@ PROPAGATED_HEADERS = (
 
 
 class Headers:
-    """A case-insensitive string->string multimap (single-valued)."""
+    """A case-insensitive string->string multimap (single-valued).
 
-    __slots__ = ("_items",)
+    The serialized size is kept up to date on every set and delete, so
+    :meth:`wire_size` (asked on every proxy traversal) is O(1).
+    """
+
+    __slots__ = ("_items", "_size")
 
     def __init__(self, initial: Mapping | None = None):
         self._items: dict[str, str] = {}
+        self._size = 0
         if initial:
             for key, value in initial.items():
                 self[key] = value
@@ -51,10 +56,19 @@ class Headers:
         return self._items[key.lower()]
 
     def __setitem__(self, key: str, value) -> None:
-        self._items[key.lower()] = str(value)
+        key = key.lower()
+        value = str(value)
+        old = self._items.get(key)
+        if old is None:
+            self._size += len(key) + len(value) + 4
+        else:
+            self._size += len(value) - len(old)
+        self._items[key] = value
 
     def __delitem__(self, key: str) -> None:
-        del self._items[key.lower()]
+        key = key.lower()
+        value = self._items.pop(key)
+        self._size -= len(key) + len(value) + 4
 
     def __contains__(self, key) -> bool:
         return str(key).lower() in self._items
@@ -81,11 +95,12 @@ class Headers:
     def copy(self) -> "Headers":
         clone = Headers()
         clone._items = dict(self._items)
+        clone._size = self._size
         return clone
 
     def wire_size(self) -> int:
         """Approximate serialized size: 'name: value\\r\\n' per header."""
-        return sum(len(k) + len(v) + 4 for k, v in self._items.items())
+        return self._size
 
     def __repr__(self):
         return f"Headers({self._items!r})"

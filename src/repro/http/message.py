@@ -35,7 +35,7 @@ class HttpStatus:
     RETRYABLE = frozenset({502, 503, 504})
 
 
-@dataclass
+@dataclass(slots=True)
 class HttpRequest:
     """An HTTP request addressed to a mesh service.
 
@@ -75,7 +75,7 @@ class HttpRequest:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class HttpResponse:
     """An HTTP response; ``request_id`` pairs it with its request."""
 

@@ -209,8 +209,10 @@ class Sidecar:
         """One proxy traversal (generator): the installed data plane
         samples the decomposed §3.6 cost, attributes it to the proxy
         layer, and yields the delay — or nothing at all, when no proxy
-        interposes at this ``phase`` (ambient local hops, no-mesh)."""
-        yield from self._dataplane.traverse(
+        interposes at this ``phase`` (ambient local hops, no-mesh).
+        Returns the data plane's generator itself, so a traversal adds
+        no delegating frame to every resume."""
+        return self._dataplane.traverse(
             self, request, phase, nbytes, peer_node=peer_node
         )
 
@@ -656,8 +658,7 @@ class Sidecar:
             )
         ]
         hedge_wait_start = self.sim.now
-        timer = self.sim.timeout(hedge.delay)
-        yield self.sim.any_of([tries[0], timer])
+        yield self.sim.deadline(tries[0], hedge.delay)
         if tries[0].processed:
             response, endpoint = tries[0].value
             if response is not None and not response.retryable:
@@ -840,8 +841,7 @@ class Sidecar:
             yield from self._traverse(request, "egress-req", request.wire_size())
             conn.send(request, request.wire_size() + self._msg_overhead)
             get = conn.receive()
-            timer = self.sim.timeout(per_try)
-            yield self.sim.any_of([get, timer])
+            yield self.sim.deadline(get, per_try)
             if get.processed and get.ok:
                 response, _size = get.value
                 # Response traversal back through the caller-side proxy.
@@ -926,8 +926,7 @@ class Sidecar:
                 request.wire_size() + self._msg_overhead,
                 priority,
             )
-            timer = self.sim.timeout(per_try)
-            yield self.sim.any_of([event, timer])
+            yield self.sim.deadline(event, per_try)
             if event.processed and event.ok:
                 response = event.value
                 # Response traversal back through the caller-side proxy.
@@ -985,9 +984,8 @@ class Sidecar:
         )
         self.pool_connections_created += 1
         connect_start = self.sim.now
-        timer = self.sim.timeout(budget)
         try:
-            yield self.sim.any_of([conn.established, timer])
+            yield self.sim.deadline(conn.established, budget)
         except Interrupt:
             conn.close()
             self.pod.stack.drop_flow(conn.flow_id)
@@ -1052,8 +1050,7 @@ class Sidecar:
                 request, "egress-req", request.wire_size()
             )
             event = target.local_submit(request)
-            timer = self.sim.timeout(per_try)
-            yield self.sim.any_of([event, timer])
+            yield self.sim.deadline(event, per_try)
         except Interrupt:
             # Cancelled (hedge loser): the callee finishes on its own
             # and replies into a settled/abandoned event.

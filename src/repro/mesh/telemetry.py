@@ -42,7 +42,7 @@ def workload_class(workload: str | None) -> str:
     return WORKLOAD_CLASSES.get(workload, workload or "default")
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     """One proxied request as observed by a sidecar."""
 

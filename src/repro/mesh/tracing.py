@@ -63,7 +63,7 @@ def _stable_hash(text: str) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """Metadata about one request's execution within one proxy hop."""
 

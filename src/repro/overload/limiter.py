@@ -81,7 +81,7 @@ class LevelingQueue:
             displaced = self.store.pop_max()
             self.evicted += 1
         self.queued += 1
-        self.store.put(item)
+        self.store.put_nowait(item)
         if self.monitor is not None:
             self.monitor(QUEUED, displaced)
         return QUEUED, displaced

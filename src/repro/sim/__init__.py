@@ -3,7 +3,8 @@
 Public surface:
 
 * :class:`Simulator` — the event loop and clock.
-* :class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf` — events.
+* :class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf`,
+  :class:`Deadline` — events.
 * :class:`Process` — generator-based processes (created via
   :meth:`Simulator.process`).
 * :class:`Store`, :class:`PriorityStore`, :class:`Resource` — blocking
@@ -15,7 +16,7 @@ Public surface:
 
 from .core import Simulator
 from .errors import EventAlreadyTriggered, Interrupt, SimulationError, StopSimulation
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import AllOf, AnyOf, Deadline, Event, Timeout
 from .process import Process
 from .resources import PriorityStore, Resource, Store
 from .rng import Distributions, RngRegistry, lognormal_params_from_quantiles
@@ -23,6 +24,7 @@ from .rng import Distributions, RngRegistry, lognormal_params_from_quantiles
 __all__ = [
     "AllOf",
     "AnyOf",
+    "Deadline",
     "Distributions",
     "Event",
     "EventAlreadyTriggered",

@@ -8,6 +8,10 @@ and runs as ``fn(*args)``; a triggered event pushes itself with
 ``seq`` dispatches equal-time entries in scheduling order. Timers cannot
 be cancelled: an owner that supersedes its timers passes a token in
 ``args`` and the stale timer returns on a mismatch.
+
+An entry nobody waits on is never pushed: a process exit with no
+callbacks settles in place, and ``Store.put_nowait`` stores without a
+put event. A process starts through a timer, not a bootstrap event.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from types import FunctionType, MethodType
 from typing import Callable, Iterable
 
 from .errors import StopSimulation
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import AllOf, AnyOf, Deadline, Event, Timeout
 from .process import Process
 
 
@@ -31,7 +35,9 @@ def _make_profiled_hooks(sim: "Simulator", profiler):
     checks (``getattr`` with a missed attribute costs ~10x a hit, so no
     speculative lookups), resolves the section through the key cache,
     and bumps its count.  A call entry is keyed by its ``fn``; an event
-    entry by ``event.callbacks[0]``.  Only every ``timing_stride``-th
+    entry by ``event.callbacks[0]``.  Either way a process resume
+    (including its start, which is a call entry) is keyed by its
+    generator's code, not by ``Process``.  Only every ``timing_stride``-th
     entry pays the ``perf_counter`` pair (in ``timed``); explicit
     sections observe the ``_timing`` flag and skip their own timing on
     unsampled dispatches.
@@ -76,7 +82,13 @@ def _make_profiled_hooks(sim: "Simulator", profiler):
             if args is not None:
                 cls = fn.__class__
                 if cls is MethodType:
-                    key = fn.__self__.__class__
+                    obj = fn.__self__
+                    # A process start or replay: its generator's code.
+                    key = (
+                        obj._generator.gi_code
+                        if obj.__class__ is Process
+                        else obj.__class__
+                    )
                 elif cls is FunctionType:
                     key = fn.__code__
                 else:
@@ -200,6 +212,11 @@ class Simulator:
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, list(events))
+
+    def deadline(self, event: Event, delay: float) -> Deadline:
+        """An event that fires once ``event`` is processed or ``delay``
+        seconds pass, whichever comes first (see :class:`Deadline`)."""
+        return Deadline(self, event, delay)
 
     def call_at(self, when: float, callback: Callable, *args) -> None:
         """Run ``callback(*args)`` at absolute simulated time ``when``."""

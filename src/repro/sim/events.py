@@ -138,6 +138,42 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay} state={self._state}>"
 
 
+class Deadline(Event):
+    """Fires once ``event`` is processed or ``delay`` seconds pass,
+    whichever comes first; fails if ``event`` fails first.
+
+    The per-try deadline in place of ``any_of([event, timeout(delay)])``,
+    with the same heap entries at the same sequence numbers (the timer
+    first, then this event once it triggers), so dispatch order is
+    unchanged.  Its value is ``None``: the waiter inspects ``event``
+    itself.  The timer is a call entry bound to this event alone, so a
+    stale timer left on the heap keeps neither ``event`` nor its value
+    alive.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, sim: "Simulator", event: Event, delay: float):
+        super().__init__(sim)
+        sim.call_later(delay, self._expire)
+        if event.processed:
+            self._on_event(event)
+        else:
+            event.callbacks.append(self._on_event)
+
+    def _on_event(self, event: Event) -> None:
+        if self._state != PENDING:
+            return
+        if event._exception is not None:
+            self.fail(event._exception)
+        else:
+            self.succeed()
+
+    def _expire(self) -> None:
+        if self._state == PENDING:
+            self.succeed()
+
+
 class Condition(Event):
     """Base for events composed from several child events.
 

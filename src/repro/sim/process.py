@@ -13,10 +13,15 @@ import types
 import typing
 
 from .errors import Interrupt, SimulationError
-from .events import Event
+from .events import PROCESSED, TRIGGERED, Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from .core import Simulator
+
+#: The outcome every process's first resume receives (``send(None)``
+#: starts a generator): one shared, pre-triggered event.
+_START = Event(None, name="process-start")
+_START._state = TRIGGERED
 
 
 class Process(Event):
@@ -35,11 +40,8 @@ class Process(Event):
         super().__init__(sim, name=name or generator.__name__)
         self._generator = generator
         self._waiting_on: Event | None = None
-        # Kick off the process at the current simulation time via an
-        # immediately-triggered bootstrap event.
-        bootstrap = Event(sim, name="process-bootstrap")
-        bootstrap.callbacks.append(self._resume)
-        bootstrap.succeed()
+        # Kick off the process at the current simulation time.
+        sim.call_later(0.0, self._resume, _START)
 
     @property
     def is_alive(self) -> bool:
@@ -72,19 +74,19 @@ class Process(Event):
         self.sim._active_process = self
         self._waiting_on = None
         try:
-            if trigger.ok:
+            if trigger._exception is None:
                 target = self._generator.send(trigger._value)
             else:
                 target = self._generator.throw(trigger._exception)
         except StopIteration as stop:
             self.sim._active_process = None
-            self.succeed(stop.value)
+            self._finish(stop.value, None)
             return
         except BaseException as exc:
             self.sim._active_process = None
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
-            self.fail(exc)
+            self._finish(None, exc)
             return
         self.sim._active_process = None
 
@@ -95,23 +97,33 @@ class Process(Event):
             try:
                 self._generator.throw(error)
             except StopIteration as stop:
-                self.succeed(stop.value)
+                self._finish(stop.value, None)
             except BaseException as exc:
-                self.fail(exc)
+                self._finish(None, exc)
             return
         if target.sim is not self.sim:
             raise SimulationError("process yielded an event from another simulator")
         if target.processed:
-            # Already done: resume at the current time without re-processing.
-            rerun = Event(self.sim, name="replay")
-            rerun.callbacks.append(self._resume)
-            if target.ok:
-                rerun.succeed(target._value)
-            else:
-                rerun.fail(target._exception)
+            # Already done: resume at the current time with its outcome.
+            self.sim.call_later(0.0, self._resume, target)
             return
         self._waiting_on = target
         target.callbacks.append(self._resume)
+
+    def _finish(self, value, exception: BaseException | None) -> None:
+        """Settle the finished process.  With a waiter attached its
+        outcome goes through the heap like any event's; with none it is
+        processed in place, no heap entry (a later ``yield`` of it takes
+        the replay path in :meth:`_resume`)."""
+        if self.callbacks:
+            if exception is None:
+                self.succeed(value)
+            else:
+                self.fail(exception)
+            return
+        self._state = PROCESSED
+        self._value = value
+        self._exception = exception
 
     def __repr__(self):
         return f"<Process {self.name!r} state={self._state}>"

@@ -65,6 +65,16 @@ class Store:
         self._dispatch()
         return event
 
+    def put_nowait(self, item) -> None:
+        """Add ``item`` when nothing awaits the put: on an unbounded
+        store no :class:`StorePut` is allocated or dispatched (a bounded
+        store falls back to :meth:`put`, whose event may have to wait)."""
+        if self.capacity is not None:
+            self.put(item)
+            return
+        self._store_item(item)
+        self._dispatch()
+
     def get(self) -> StoreGet:
         """Remove the oldest item; the returned event carries the item."""
         event = StoreGet(self.sim, name="store-get")

@@ -421,7 +421,7 @@ class ConnectionEnd:
         for end in ready:
             message = self._pending_boundaries.pop(end)
             self.messages_delivered += 1
-            self.inbox.put((message, end))
+            self.inbox.put_nowait((message, end))
             previous = end
         if previous is not None:
             self.bytes_delivered = self._rcv_nxt

@@ -428,7 +428,7 @@ class FluidConnectionEnd(ConnectionEnd):
     def _fluid_deliver(self, message, size: int) -> None:
         self.messages_delivered += 1
         self.bytes_delivered += size
-        self.inbox.put((message, size))
+        self.inbox.put_nowait((message, size))
 
     def __repr__(self):
         mode = "fluid" if self._fluid_mode else "packet(downgraded)"

@@ -197,15 +197,20 @@ class FidelityPolicy:
             sample[1] = busy
         return sample[2]
 
-    def link_contended(self, iface: "Interface", now: float) -> bool:
-        if iface.qdisc.backlog_bytes > self.spec.contention_backlog_bytes:
-            return True
-        return self.link_utilization(iface, now) >= self.spec.contention_threshold
-
     def path_contended(self, src: str, dst: str, now: float, tos=None) -> bool:
-        return any(
-            self.link_contended(iface, now) for iface in self.path(src, dst, tos)
-        )
+        """True when a link on the path is contended: its qdisc backlog
+        exceeds the spec's bytes, or its windowed utilization reaches
+        the threshold.  The first contended link ends the scan, so the
+        links after it are not sampled."""
+        backlog_limit = self.spec.contention_backlog_bytes
+        threshold = self.spec.contention_threshold
+        for iface in self.path(src, dst, tos):
+            if (
+                iface.qdisc.backlog_bytes > backlog_limit
+                or self.link_utilization(iface, now) >= threshold
+            ):
+                return True
+        return False
 
     # -- the selector ----------------------------------------------------
     def mode_for(

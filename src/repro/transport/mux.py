@@ -186,7 +186,7 @@ class MuxConnection:
                     )
                 del self._receiving[frame.stream_id]
                 self.streams_delivered += 1
-                self.inbox.put((frame.message, total))
+                self.inbox.put_nowait((frame.message, total))
 
     def receive(self):
         """Event carrying the next *completed* ``(message, size)``."""

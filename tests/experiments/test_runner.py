@@ -1,6 +1,10 @@
 """The sweep engine: caching, determinism, measurement pickling."""
 
+import os
 import pickle
+import shutil
+import subprocess
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -10,12 +14,14 @@ from repro.experiments import (
     Runner,
     ScenarioConfig,
     ScenarioMeasurement,
+    cache_key,
     config_digest,
     measure_scenario,
     replicate,
     run_figure4,
 )
-from repro.experiments.runner import canonical
+import repro
+from repro.experiments.runner import canonical, code_digest
 from repro.util.stats import LatencySummary
 
 TINY = dict(rps=5.0, duration=1.5, warmup=0.3, drain=10.0)
@@ -101,13 +107,57 @@ class TestCache:
         cache_dir = tmp_path / "cache"
         with Runner(workers=1, cache_dir=cache_dir) as runner:
             runner.map(_counted, [point])
-            path = runner.cache.path(config_digest(_counted, point))
+            path = runner.cache.path(cache_key(_counted, point))
         assert path.exists()
         path.write_bytes(b"not a pickle")
         with Runner(workers=1, cache_dir=cache_dir) as runner:
             runner.map(_counted, [point])
             assert runner.stats.simulated == 1
         assert _executions(scratch) == 2
+
+    def test_cache_key_folds_in_the_sources(self):
+        config = _CountedPoint(scratch="x")
+        assert len(code_digest()) == 64
+        assert cache_key(_counted, config) != config_digest(_counted, config)
+        assert cache_key(_counted, config) == cache_key(_counted, config)
+        assert cache_key(_counted, config) != cache_key(
+            _counted, replace(config, value=2.0)
+        )
+
+    def test_source_edit_misses_the_cache(self, tmp_path):
+        # A copy of the package, run twice against one cache directory:
+        # unchanged sources hit, an edited source simulates again.
+        package = tmp_path / "src" / "repro"
+        shutil.copytree(
+            Path(repro.__file__).parent, package,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        cache_dir = tmp_path / "cache"
+        script = (
+            "import sys\n"
+            "from repro.experiments import Runner, ScenarioMeasurement\n"
+            "def point(config):\n"
+            "    return ScenarioMeasurement(config=config)\n"
+            "with Runner(workers=1, cache_dir=sys.argv[1]) as runner:\n"
+            "    runner.map(point, [1])\n"
+            "    print(runner.stats.hits, runner.stats.simulated)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(package.parent),
+                   PYTHONDONTWRITEBYTECODE="1")
+
+        def rerun() -> str:
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(cache_dir)],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            return done.stdout.strip()
+
+        assert rerun() == "0 1"
+        assert rerun() == "1 0"
+        edited = package / "sim" / "core.py"
+        edited.write_text(edited.read_text() + "\n# edited\n")
+        assert rerun() == "0 1"
+        assert rerun() == "1 0"
 
     def test_no_cache_dir_means_no_caching(self, tmp_path):
         scratch = tmp_path / "marks.txt"

@@ -3,13 +3,15 @@ the zero-hooks-when-disabled contract."""
 
 import os
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.experiments import ScenarioConfig, run_scenario
 from repro.obs import MetricsRegistry, PROFILE_SCHEMA, SimProfiler, profile_text
+from repro.mesh.sidecar import Sidecar
 from repro.obs.profile import classify_module
-from repro.sim import Simulator
+from repro.sim import Simulator, Store
 
 
 class TestAttachDetach:
@@ -99,6 +101,30 @@ class TestClassification:
         )
         assert result.mesh.telemetry.profiler is result.sim.profiler
         assert result.sim.profiler.counts.get("obs", 0) > 0
+
+
+class TestProcessStart:
+    """A process starts from a timer, not an event: its first resume
+    still counts into its generator's section, keyed by ``gi_code``."""
+
+    @pytest.mark.parametrize("stepwise", [False, True])
+    def test_sidecar_generator_first_resume_counts_as_sidecar(self, stepwise):
+        sim = Simulator()
+        profiler = SimProfiler(timing_stride=1)
+        sim.attach_profiler(profiler)
+        # The worker's body up to its first yield needs only a queue.
+        worker = Sidecar._inbound_worker(SimpleNamespace(_inbound_queue=Store(sim)))
+        sim.process(worker)
+        if stepwise:
+            sim.step()
+        else:
+            sim.run()
+        assert sim.processed_events == 1
+        assert worker.gi_frame is not None  # parked on the queue
+        counts = {k: v for k, v in profiler.counts.items() if v}
+        assert counts == {"sidecar": 1}
+        if not stepwise:
+            assert worker.gi_code in profiler._key_cache
 
 
 class TestDeterminism:
