@@ -165,8 +165,8 @@ class Sidecar:
         attributor, when one is installed (no-op otherwise).
 
         ``component``/``components`` additionally tally the interval
-        into the proxy layer's sub-attribution (repro.dataplane): a
-        single component name for the whole interval, or a pre-split
+        into the proxy layer's sub-attribution (repro.dataplane): either
+        a single component name for the whole interval, or a pre-split
         ``[(component, seconds), ...]`` list from the cost model.
 
         The same intervals feed the service graph when a collector is
@@ -176,15 +176,14 @@ class Sidecar:
         """
         if request is None:
             return
+        if component is not None:
+            components = ((component, end - start),)
         attributor = self.telemetry.attributor
         if attributor is not None:
             root = request.headers.get(REQUEST_ID)
             attributor.record(root, layer, start, end)
-            if component is not None:
-                attributor.record_component(root, component, end - start)
             if components is not None:
-                for name, seconds in components:
-                    attributor.record_component(root, name, seconds)
+                attributor.record_components(root, components)
         graph = self.telemetry.graph
         if graph is None:
             return
@@ -192,15 +191,10 @@ class Sidecar:
             graph.observe_layer(
                 self.service_name, request.service, layer, end - start, end
             )
-            if component is not None:
-                graph.observe_component(
-                    self.service_name, request.service, component, end - start
-                )
             if components is not None:
-                for name, seconds in components:
-                    graph.observe_component(
-                        self.service_name, request.service, name, seconds
-                    )
+                graph.observe_components(
+                    self.service_name, request.service, components
+                )
         elif layer == LAYER_PROXY:
             graph.observe_node_proxy(self.service_name, end - start, end)
 

@@ -184,10 +184,9 @@ class LayerAttributor:
             return
         self._intervals[root].append((layer, start, end))
 
-    def record_component(
-        self, root: str | None, component: str, seconds: float
-    ) -> None:
-        """Tally proxy work by component (repro.dataplane) for ``root``.
+    def record_components(self, root: str | None, components) -> None:
+        """Tally proxy work by component (repro.dataplane) for ``root``:
+        every ``(component, seconds)`` pair of one traversal.
 
         A parallel accounting to :meth:`record`: the interval stream
         still drives the sweep (so layers partition the window exactly,
@@ -195,10 +194,15 @@ class LayerAttributor:
         layer. At :meth:`finish_request` the raw tally is scaled to the
         swept proxy total, so the sub-components also sum exactly.
         """
-        if root is None or seconds <= 0 or root not in self._open:
+        if root is None or root not in self._open:
             return
-        tally = self._proxy_components.setdefault(root, {})
-        tally[component] = tally.get(component, 0.0) + seconds
+        tally = None
+        for component, seconds in components:
+            if seconds <= 0:
+                continue
+            if tally is None:
+                tally = self._proxy_components.setdefault(root, {})
+            tally[component] = tally.get(component, 0.0) + seconds
 
     def finish_request(
         self, root: str, now: float, status: int = 200

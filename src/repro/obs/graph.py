@@ -266,12 +266,14 @@ class GraphCollector:
         if counter is not None:
             counter.add(now, seconds)
 
-    def observe_component(
-        self, src: str, dst: str, component: str, seconds: float
-    ) -> None:
-        """Proxy component sub-split (repro.dataplane), cumulative."""
-        edge = self._edge(src, dst)
-        edge.components[component] = edge.components.get(component, 0.0) + seconds
+    def observe_components(self, src: str, dst: str, components) -> None:
+        """Proxy component sub-split (repro.dataplane), cumulative:
+        every ``(component, seconds)`` pair of one traversal."""
+        if not components:
+            return
+        tally = self._edge(src, dst).components
+        for component, seconds in components:
+            tally[component] = tally.get(component, 0.0) + seconds
 
     def observe_node_proxy(self, service: str, seconds: float, now: float) -> None:
         """Inbound-side proxy time at a callee (no caller identity on

@@ -280,17 +280,37 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, LogLinearHistogram] = {}
+        #: (name, *label items in call order) -> canonical key.  One
+        #: entry per series and call-site label order, so it is bounded
+        #: by the series the registry holds.
+        self._keys: dict[tuple, str] = {}
 
     # -- get-or-create ------------------------------------------------
 
+    def _key(self, name: str, labels: dict) -> str:
+        """``_metric_key(name, labels)``, memoised per registry.
+
+        Only all-``str`` label sets are memoised: ``1``, ``1.0`` and
+        ``True`` hash and compare equal but format differently."""
+        memo = (name, *labels.items())
+        try:
+            key = self._keys.get(memo)
+        except TypeError:  # an unhashable label value
+            return _metric_key(name, labels)
+        if key is None:
+            key = _metric_key(name, labels)
+            if all(type(value) is str for value in labels.values()):
+                self._keys[memo] = key
+        return key
+
     def counter(self, name: str, **labels) -> Counter:
-        key = _metric_key(name, labels)
+        key = self._key(name, labels)
         if key not in self._counters:
             self._counters[key] = Counter()
         return self._counters[key]
 
     def gauge(self, name: str, **labels) -> Gauge:
-        key = _metric_key(name, labels)
+        key = self._key(name, labels)
         if key not in self._gauges:
             self._gauges[key] = Gauge()
         return self._gauges[key]
@@ -303,7 +323,7 @@ class MetricsRegistry:
         bins_per_decade: int = 90,
         **labels,
     ) -> LogLinearHistogram:
-        key = _metric_key(name, labels)
+        key = self._key(name, labels)
         if key not in self._histograms:
             self._histograms[key] = LogLinearHistogram(
                 lowest=lowest, highest=highest, bins_per_decade=bins_per_decade

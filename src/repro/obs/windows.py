@@ -7,8 +7,14 @@ Both windowed types share the same design:
 
 * The window is divided into ``slices`` equal sub-windows.  A sample
   recorded at time ``t`` lands in slice ``floor(t / slice_width)``;
-  only the most recent ``slices`` slices are live, so advancing time
-  expires whole slices in O(1) amortized — no per-sample bookkeeping.
+  only the most recent ``slices`` slices are live.
+* Per-op cost: a sample costs O(1) — one slice-index computation and
+  one dict update (a gauge ``set`` also folds the held level, one
+  segment per live slice it spans, so at most ``slices``).  Slices
+  expire only when the newest slice index advances, in one
+  O(``slices``) sweep, so expiry is amortized over every sample of a
+  slice; between advances every live key is at or past the oldest
+  live index, so no op scans for expired slices.
 * Membership is therefore *slice-aligned*: a query at ``now`` covers
   exactly the samples with ``t >= window_start(now)``, where
   ``window_start`` rounds the nominal ``now - window`` down to a slice
@@ -19,7 +25,9 @@ Both windowed types share the same design:
   rolling quantile is a merge of at most ``slices`` histograms and the
   relative quantile error stays the bucket-width bound of the
   underlying histogram (~0.45 % at the default 1000 bins/decade — the
-  documented "~1 %" envelope with float slop).
+  documented "~1 %" envelope with float slop).  The merge and every
+  quantile asked of it are cached until the next record or slice
+  expiry, so repeated queries between samples cost O(1).
 
 Memory is bounded by ``slices`` payloads regardless of run length or
 sample rate, which is what lets the SLO engine evaluate continuously
@@ -37,15 +45,25 @@ from .metrics import LogLinearHistogram
 #: at 1/8 of the nominal width while staying cheap to merge.
 DEFAULT_SLICES = 8
 
+_floor = math.floor
+_NEG_INF = float("-inf")
+
+
+def _gauge_payload() -> list:
+    """A fresh gauge slice: ``[integral, seconds, max]``."""
+    return [0.0, 0.0, _NEG_INF]
+
 
 class _SliceRing:
     """Slice bookkeeping shared by the windowed counter and histogram.
 
-    ``self.slices`` maps live slice index -> payload; ``_advance``
-    drops every slice older than the window of the newest time seen.
-    Time never goes backwards in the simulator, but stale ``record``
-    calls (earlier than the newest time seen) still land in their own
-    slice if it is live, and are dropped if it already expired.
+    ``self.slices`` maps live slice index -> payload.  ``_newest`` is
+    the newest slice index seen and ``_oldest`` the oldest live one;
+    :meth:`_roll` moves both forward and drops every slice older than
+    the new window.  Time never goes backwards in the simulator, but
+    stale samples (earlier than the newest time seen) still land in
+    their own slice if it is live, and are dropped if it already
+    expired.
     """
 
     def __init__(self, window: float, slices: int = DEFAULT_SLICES) -> None:
@@ -58,44 +76,55 @@ class _SliceRing:
         self.slice_width = self.window / self.n_slices
         self.slices: dict[int, object] = {}
         self._newest = -(2**63)
+        self._oldest = self._newest - self.n_slices + 1
+        #: Bumped whenever a live slice expires; the histogram also
+        #: bumps it on every record and keys its cached merge on it.
+        self._version = 0
 
-    def _index(self, t: float) -> int:
-        # The +1e-9 relative nudge keeps an exact boundary tick
-        # (t == k * slice_width up to float error) in slice k.
-        return math.floor(t / self.slice_width + 1e-9)
+    def _roll(self, newest: int) -> None:
+        """Make ``newest`` the newest slice index and expire every slice
+        that falls out of the window (the only place slices expire)."""
+        self._newest = newest
+        oldest = self._oldest = newest - self.n_slices + 1
+        slices = self.slices
+        if slices:
+            expired = [i for i in slices if i < oldest]
+            if expired:
+                for index in expired:
+                    del slices[index]
+                self._version += 1
 
     def _advance(self, now: float) -> int:
         """Expire slices outside the window ending at ``now``; returns
-        the oldest live slice index."""
-        current = self._index(now)
-        if current > self._newest:
-            self._newest = current
-        oldest = self._newest - self.n_slices + 1
-        if self.slices and min(self.slices) < oldest:
-            for index in [i for i in self.slices if i < oldest]:
-                del self.slices[index]
-        return oldest
+        ``now``'s slice index."""
+        # The +1e-9 relative nudge keeps an exact boundary tick
+        # (t == k * slice_width up to float error) in slice k.
+        index = _floor(now / self.slice_width + 1e-9)
+        if index > self._newest:
+            self._roll(index)
+        return index
 
     def window_start(self, now: float) -> float:
         """The inclusive lower time bound a query at ``now`` covers
         (slice-aligned, so the membership predicate is exact)."""
         self._advance(now)
-        return (self._newest - self.n_slices + 1) * self.slice_width
+        return self._oldest * self.slice_width
 
     def live_payloads(self, now: float) -> list:
-        oldest = self._advance(now)
-        return [self.slices[i] for i in sorted(self.slices) if i >= oldest]
+        self._advance(now)
+        slices = self.slices
+        return [slices[i] for i in sorted(slices)]
 
 
 class WindowedCounter(_SliceRing):
     """A count over the trailing window (events, bad requests, bytes)."""
 
     def add(self, now: float, amount: float = 1.0) -> None:
-        oldest = self._advance(now)
-        index = self._index(now)
-        if index < oldest:
+        index = self._advance(now)
+        if index < self._oldest:
             return  # stale sample older than the window: nothing to count
-        self.slices[index] = self.slices.get(index, 0.0) + amount
+        slices = self.slices
+        slices[index] = slices.get(index, 0.0) + amount
 
     def total(self, now: float) -> float:
         """Sum over the live window; exactly 0.0 when the window is
@@ -146,47 +175,59 @@ class WindowedGauge(_SliceRing):
         """The most recently set level (0.0 before the first set)."""
         return self._value
 
-    def _payload(self, index: int) -> list:
-        payload = self.slices.get(index)
-        if payload is None:
-            payload = [0.0, 0.0, float("-inf")]  # integral, seconds, max
-            self.slices[index] = payload
-        return payload
+    def _settle(self, now: float) -> int:
+        """Fold the held level's ``[since, now)`` segment into slices,
+        one segment per slice; returns ``now``'s slice index.  Only the
+        portion overlapping the live window is written (expired slices
+        would be dropped immediately anyway), so a long-idle gauge
+        settles in O(slices), not O(elapsed).
 
-    def _settle(self, now: float) -> None:
-        """Fold the held level's ``[since, now)`` segment into slices.
-        Only the portion overlapping the live window is written (expired
-        slices would be dropped immediately anyway), so a long-idle
-        gauge settles in O(slices), not O(elapsed)."""
-        if self._since is None or now <= self._since:
-            self._advance(now)
-            return
-        oldest = self._advance(now)
-        t = max(self._since, oldest * self.slice_width)
+        Every ``set`` runs this loop, so ``min``/``max`` are spelled as
+        comparisons (same results, no builtin calls)."""
+        current = self._advance(now)
+        since = self._since
+        if since is None or now <= since:
+            return current
+        width = self.slice_width
+        value = self._value
+        slices = self.slices
+        t = since
+        start = self._oldest * width
+        if start > t:  # t = max(since, start)
+            t = start
         while t < now:
-            index = self._index(t)
-            segment_end = min(now, (index + 1) * self.slice_width)
-            payload = self._payload(index)
-            payload[0] += self._value * (segment_end - t)
+            index = _floor(t / width + 1e-9)  # the slice rule of _advance
+            segment_end = (index + 1) * width
+            if not segment_end < now:  # min(now, segment_end)
+                segment_end = now
+            payload = slices.get(index)
+            if payload is None:
+                payload = slices[index] = _gauge_payload()
+            payload[0] += value * (segment_end - t)
             payload[1] += segment_end - t
-            payload[2] = max(payload[2], self._value)
+            if value > payload[2]:  # max(payload[2], value)
+                payload[2] = value
             t = segment_end
         self._since = now
+        return current
 
     def set(self, now: float, value: float) -> None:
         """Record the signal's level at ``now`` (held until the next
         set).  The new level registers in its slice's max immediately,
         so an instantaneous spike is visible even if overwritten at the
         same timestamp."""
-        if self._since is not None and now < self._since:
+        since = self._since
+        if since is not None and now < since:
             return  # stale sample: the signal has already moved past it
-        self._settle(now)
-        self._value = float(value)
+        index = self._settle(now)
+        value = self._value = float(value)
         self._since = now
-        index = self._index(now)
-        if index >= self._advance(now):
-            payload = self._payload(index)
-            payload[2] = max(payload[2], self._value)
+        if index >= self._oldest:
+            payload = self.slices.get(index)
+            if payload is None:
+                payload = self.slices[index] = _gauge_payload()
+            if value > payload[2]:  # max(payload[2], value)
+                payload[2] = value
 
     def mean(self, now: float) -> float:
         """Time-weighted mean over the live window's covered seconds;
@@ -205,10 +246,10 @@ class WindowedGauge(_SliceRing):
         """The largest level present in the live window (spikes
         included); exactly 0.0 on an empty or fully-expired window."""
         self._settle(now)
-        peak = float("-inf")
+        peak = _NEG_INF
         for payload in self.live_payloads(now):
             peak = max(peak, payload[2])
-        return 0.0 if peak == float("-inf") else peak
+        return 0.0 if peak == _NEG_INF else peak
 
 
 class WindowedHistogram(_SliceRing):
@@ -218,6 +259,10 @@ class WindowedHistogram(_SliceRing):
     live slices (exact on bucket counts, see
     :meth:`LogLinearHistogram.merge`), so the rolling quantile carries
     the same bounded relative error as the underlying histogram.
+
+    The merge of the live slices and the quantiles already asked of it
+    are cached under ``_version``, which every :meth:`record` and every
+    slice expiry bumps; any query in between reuses them.
     """
 
     def __init__(
@@ -232,11 +277,13 @@ class WindowedHistogram(_SliceRing):
         self.lowest = lowest
         self.highest = highest
         self.bins_per_decade = bins_per_decade
+        self._cached_version = -1
+        self._cached: LogLinearHistogram | None = None
+        self._quantiles: dict[float, float] = {}
 
     def record(self, now: float, value: float) -> None:
-        oldest = self._advance(now)
-        index = self._index(now)
-        if index < oldest:
+        index = self._advance(now)
+        if index < self._oldest:
             return  # stale sample: its slice already expired
         hist = self.slices.get(index)
         if hist is None:
@@ -244,31 +291,44 @@ class WindowedHistogram(_SliceRing):
                 self.lowest, self.highest, self.bins_per_decade
             )
             self.slices[index] = hist
+        self._version += 1
         hist.record(value)
 
+    def _live(self, now: float) -> LogLinearHistogram:
+        """The cached merge of the live slices (never handed out: it
+        must not be mutated)."""
+        self._advance(now)
+        if self._cached_version != self._version:
+            merged = LogLinearHistogram(
+                self.lowest, self.highest, self.bins_per_decade
+            )
+            slices = self.slices
+            for index in sorted(slices):
+                merged.merge(slices[index])
+            self._cached = merged
+            self._cached_version = self._version
+            self._quantiles = {}
+        return self._cached
+
     def merged(self, now: float) -> LogLinearHistogram:
-        merged = LogLinearHistogram(
-            self.lowest, self.highest, self.bins_per_decade
-        )
-        for hist in self.live_payloads(now):
-            merged.merge(hist)
-        return merged
+        """A fresh merge of the live slices (the caller may mutate it)."""
+        return self._live(now).copy()
 
     def count(self, now: float) -> int:
-        return sum(hist.count for hist in self.live_payloads(now))
+        return self._live(now).count
 
     def quantile(self, now: float, q: float) -> float:
         """The rolling q-th percentile.  Zero-sample contract: an empty
         or fully-expired window answers exactly 0.0 (never NaN, never
-        an index error) without allocating a merge histogram."""
-        if not self.live_payloads(now):
-            return 0.0
-        return self.merged(now).quantile(q)
+        an index error)."""
+        live = self._live(now)
+        value = self._quantiles.get(q)
+        if value is None:
+            value = self._quantiles[q] = live.quantile(q)
+        return value
 
     def summary(self, now: float) -> LatencySummary:
         """Rolling summary; an empty or fully-expired window answers
         the all-zero :meth:`LatencySummary.empty` (count 0, zero
-        quantiles) without allocating a merge histogram."""
-        if not self.live_payloads(now):
-            return LatencySummary.empty()
-        return self.merged(now).summary()
+        quantiles)."""
+        return self._live(now).summary()

@@ -100,7 +100,11 @@ class CubicCC(CongestionControl):
             self._epoch_start = now
             w_max_seg = self._w_max / self.mss
             cwnd_seg = self.cwnd / self.mss
-            self._k = max(0.0, ((w_max_seg - cwnd_seg) / self.C) ** (1.0 / 3.0))
+            # A window already at or above w_max (slow start past a
+            # small w_max) has no concave region left: K = 0.  A
+            # negative base would make ``**`` return a complex number.
+            gap = w_max_seg - cwnd_seg
+            self._k = (gap / self.C) ** (1.0 / 3.0) if gap > 0 else 0.0
         t = now - self._epoch_start
         target_seg = self.C * (t - self._k) ** 3 + self._w_max / self.mss
         target = target_seg * self.mss

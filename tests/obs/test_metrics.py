@@ -123,6 +123,27 @@ class TestRegistry:
         registry.counter("m", a="1", b="2").inc()
         assert registry.counter("m", b="2", a="1").value == 1
 
+    def test_memoised_key_is_canonical_in_any_label_order(self):
+        import itertools
+
+        from repro.obs.metrics import _metric_key
+
+        labels = {"src": "a", "dst": "b", "class": "LS"}
+        registry = MetricsRegistry()
+        for order in itertools.permutations(labels):
+            ordered = {k: labels[k] for k in order}
+            for _ in range(2):  # miss, then memo hit
+                assert registry._key("m", ordered) == _metric_key("m", labels)
+        assert len(registry._keys) == 6
+
+    def test_equal_but_differently_formatted_labels_stay_apart(self):
+        registry = MetricsRegistry()
+        for value in (1, 1.0, True):
+            registry.counter("m", x=value).inc()
+        assert sorted(registry.snapshot()["counters"]) == [
+            "m{x=1.0}", "m{x=1}", "m{x=True}",
+        ]
+
     def test_counter_total_subset_match(self):
         registry = MetricsRegistry()
         registry.counter("req", src="a", dst="x").inc(2)

@@ -169,6 +169,51 @@ class TestWindowedHistogram:
         assert len(hist.slices) <= 4
 
 
+class TestHistogramCache:
+    """The cached merge and quantiles must never outlive a change to the
+    live slices."""
+
+    def test_record_in_the_same_instant_invalidates(self):
+        hist = WindowedHistogram(window=4.0)
+        hist.record(1.0, 0.001)
+        assert hist.quantile(1.0, 99.0) == pytest.approx(0.001, rel=0.01)
+        hist.record(1.0, 1.0)
+        assert hist.quantile(1.0, 99.0) == pytest.approx(1.0, rel=0.01)
+        assert hist.count(1.0) == 2
+
+    def test_stale_record_into_an_older_live_slice_invalidates(self):
+        hist = WindowedHistogram(window=4.0, slices=8)  # slice width 0.5
+        hist.record(3.0, 0.001)
+        assert hist.quantile(3.0, 99.0) == pytest.approx(0.001, rel=0.01)
+        hist.record(1.2, 2.0)  # stale, but slice 2 is still live at t=3
+        assert 2 in hist.slices
+        assert hist.quantile(3.0, 99.0) == pytest.approx(2.0, rel=0.01)
+        assert hist.summary(3.0).maximum == 2.0
+
+    def test_expiry_by_time_alone_invalidates(self):
+        hist = WindowedHistogram(window=2.0, slices=4)  # slice width 0.5
+        hist.record(0.2, 5.0)
+        hist.record(1.9, 0.001)
+        assert hist.quantile(1.9, 99.0) == pytest.approx(5.0, rel=0.01)
+        # No record in between: only the clock expires the outlier.
+        assert hist.quantile(2.1, 99.0) == pytest.approx(0.001, rel=0.01)
+        assert hist.count(2.1) == 1
+        assert hist.summary(2.1).maximum == 0.001
+
+    def test_mutating_merged_does_not_touch_the_cache(self):
+        hist = WindowedHistogram(window=4.0)
+        for i in range(20):
+            hist.record(1.0, 0.001 * (i + 1))
+        before = (hist.quantile(1.0, 50.0), hist.summary(1.0))
+        merged = hist.merged(1.0)
+        for _ in range(1000):
+            merged.record(9.0)
+        merged.counts.clear()
+        assert hist.quantile(1.0, 50.0) == before[0]
+        assert hist.summary(1.0) == before[1]
+        assert hist.merged(1.0).count == 20
+
+
 class TestZeroSampleContract:
     """An empty or fully-expired window must answer well-defined zeros —
     never NaN, never an index error, never a stale value."""

@@ -80,6 +80,22 @@ class TestCubic:
         assert cc.cwnd == pytest.approx(before * CubicCC.BETA)
 
 
+    def test_epoch_starting_above_wmax_probes_upward(self):
+        # Two timeouts in a row leave w_max at one MSS while ssthresh
+        # stays at two; slow start then ends above w_max.
+        clock = {"now": 0.0}
+        cc = CubicCC(MSS, initial_window_segments=10, clock=lambda: clock["now"])
+        cc.on_loss("timeout")
+        cc.on_loss("timeout")
+        cc.on_ack(10 * MSS, rtt_sample=0.01)
+        assert cc.cwnd > cc._w_max
+        before = cc.cwnd
+        clock["now"] = 0.5
+        cc.on_ack(1, rtt_sample=0.01)
+        assert cc._k == 0.0
+        assert cc.cwnd > before
+
+
 class TestLedbat:
     def test_grows_when_delay_at_base(self):
         cc = LedbatCC(MSS, target=0.005)
